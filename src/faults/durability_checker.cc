@@ -36,11 +36,12 @@ void DurabilityChecker::OnCommitAttempt(uint64_t token,
 void DurabilityChecker::OnCommitAcked(uint64_t token) {
   const auto it = pending_.find(token);
   RL_CHECK_MSG(it != pending_.end(), "ack for unknown commit token");
-  for (const TrackedWrite& w : it->second) {
+  // The pending entry is erased below, so its values move, not copy.
+  for (TrackedWrite& w : it->second) {
     if (w.is_delete) {
       committed_[w.key] = std::nullopt;
     } else {
-      committed_[w.key] = w.value;
+      committed_[w.key] = std::move(w.value);
     }
   }
   pending_.erase(it);

@@ -1,6 +1,5 @@
 #include "src/storage/block_device.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -65,8 +64,9 @@ bool SimBlockDevice::RangeOk(uint64_t lba, size_t bytes) const {
 }
 
 void SimBlockDevice::MarkDirty(uint64_t lba) {
-  if (dirty_set_.insert(lba).second) {
-    dirty_fifo_.push_back(lba);
+  if (dirty_.try_emplace(lba, next_dirty_stamp_).second) {
+    dirty_fifo_.push_back({.lba = lba, .stamp = next_dirty_stamp_});
+    ++next_dirty_stamp_;
   }
 }
 
@@ -86,7 +86,7 @@ Task<BlockStatus> SimBlockDevice::Read(uint64_t lba, std::span<uint8_t> out) {
 
   bool all_cached = options_.cache_policy != WriteCachePolicy::kWriteThrough;
   for (uint32_t i = 0; i < sectors && all_cached; ++i) {
-    all_cached = dirty_set_.contains(lba + i);
+    all_cached = dirty_.contains(lba + i);
   }
 
   if (all_cached) {
@@ -203,7 +203,7 @@ Task<BlockStatus> SimBlockDevice::CachedPath(uint64_t lba,
   const uint64_t cache_capacity_sectors =
       options_.cache_capacity_bytes / kSectorSize;
   while (powered_ &&
-         dirty_fifo_.size() + sectors > cache_capacity_sectors) {
+         dirty_.size() + sectors > cache_capacity_sectors) {
     co_await space_available_.Wait();
   }
   if (!powered_) {
@@ -238,7 +238,7 @@ Task<BlockStatus> SimBlockDevice::Flush() {
   const TimePoint start = sim_.now();
   rlsim::SpanScope span(sim_, options_.name, "io-flush", 0);
   if (options_.cache_policy == WriteCachePolicy::kWriteBack) {
-    while (powered_ && (!dirty_fifo_.empty() || destage_active_)) {
+    while (powered_ && (!dirty_.empty() || destage_active_)) {
       co_await flush_done_.Wait();
     }
     if (!powered_) {
@@ -256,19 +256,27 @@ Task<BlockStatus> SimBlockDevice::Flush() {
 
 Task<void> SimBlockDevice::DestageLoop() {
   while (true) {
-    if (!powered_ || emergency_mode_ || dirty_fifo_.empty()) {
+    if (!powered_ || emergency_mode_ || dirty_.empty()) {
       co_await destage_wake_.Wait();
       continue;
     }
+    // Retire the stale marks of sectors already gathered into earlier runs;
+    // every dirty sector has exactly one live mark, so one is left.
+    while (true) {
+      const DirtyMark& mark = dirty_fifo_.front();
+      const auto it = dirty_.find(mark.lba);
+      if (it != dirty_.end() && it->second == mark.stamp) {
+        break;
+      }
+      dirty_fifo_.pop_front();
+    }
     // Gather a contiguous run starting at the oldest dirty sector, so
     // sequential dirtied regions destage as large medium writes.
-    const uint64_t start_lba = dirty_fifo_.front();
+    const uint64_t start_lba = dirty_fifo_.front().lba;
     dirty_fifo_.pop_front();
-    dirty_set_.erase(start_lba);
+    dirty_.erase(start_lba);
     uint32_t run = 1;
-    while (run < kMaxDestageRun && dirty_set_.contains(start_lba + run)) {
-      dirty_set_.erase(start_lba + run);
-      std::erase(dirty_fifo_, start_lba + run);
+    while (run < kMaxDestageRun && dirty_.erase(start_lba + run) > 0) {
       ++run;
     }
 
@@ -351,7 +359,7 @@ void SimBlockDevice::PowerRestore() {
   if (options_.cache_policy != WriteCachePolicy::kBatteryBackedWriteBack) {
     // Volatile cache contents were lost; forget the destage backlog.
     dirty_fifo_.clear();
-    dirty_set_.clear();
+    dirty_.clear();
   }
   destage_wake_.NotifyAll();
 }

@@ -14,7 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "src/sim/simulator.h"
 #include "src/sim/stats.h"
@@ -108,7 +108,7 @@ class SimBlockDevice : public BlockDevice {
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
   const Options& options() const { return options_; }
-  uint64_t dirty_sectors() const { return dirty_fifo_.size(); }
+  uint64_t dirty_sectors() const { return dirty_.size(); }
 
  private:
   rlsim::Task<void> DestageLoop();
@@ -142,8 +142,21 @@ class SimBlockDevice : public BlockDevice {
   };
   std::optional<InflightWrite> inflight_medium_write_;
 
-  std::deque<uint64_t> dirty_fifo_;
-  std::unordered_set<uint64_t> dirty_set_;
+  // Destage backlog. `dirty_` maps each dirty sector to the stamp of the
+  // MarkDirty that made it dirty; `dirty_fifo_` lists those marks in order,
+  // so its live entries are the dirty sectors in first-dirtied-since-last-
+  // destage order. Gathering a run erases the run's sectors from `dirty_`
+  // only: their FIFO entries go stale (stamp mismatch or sector absent) and
+  // are popped when they reach the front. A sector re-dirtied after being
+  // gathered gets a fresh stamp, so it destages from its new position, not
+  // from its stale one. Every operation is O(1) per sector.
+  struct DirtyMark {
+    uint64_t lba;
+    uint64_t stamp;
+  };
+  std::deque<DirtyMark> dirty_fifo_;
+  std::unordered_map<uint64_t, uint64_t> dirty_;
+  uint64_t next_dirty_stamp_ = 0;
   bool destage_active_ = false;
   rlsim::WaitQueue destage_wake_;
   rlsim::WaitQueue space_available_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/sim/check.h"
 
@@ -62,12 +63,13 @@ void DiskImage::WriteDurable(uint64_t sector, std::span<const uint8_t> data) {
 }
 
 void DiskImage::Harden(uint64_t sector) {
-  auto it = cache_.find(sector);
-  if (it == cache_.end()) {
+  auto node = cache_.extract(sector);
+  if (node.empty()) {
     return;
   }
-  durable_[sector] = it->second;
-  cache_.erase(it);
+  // Move the cached node onto the medium: no sector copy, no allocation.
+  durable_.erase(sector);
+  durable_.insert(std::move(node));
   torn_.erase(sector);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -137,6 +138,84 @@ TEST(BlockDeviceTest, DestageEventuallyHardensWithoutFlush) {
   }
   EXPECT_EQ(dev.dirty_sectors(), 0u);
   EXPECT_GE(dev.stats().destaged_sectors.value(), 16);
+}
+
+// Timing model that records every medium write, together with the
+// device's dirty-sector count at the moment the write is issued (after the
+// destage loop has gathered its run).
+class RecordingModel : public DiskModel {
+ public:
+  struct MediumWrite {
+    uint64_t lba;
+    uint32_t sectors;
+    uint64_t dirty_after_gather;
+  };
+
+  Duration ReadTime(TimePoint, uint64_t, uint32_t) override {
+    return Duration::Millis(1);
+  }
+  Duration WriteTime(TimePoint, uint64_t lba, uint32_t sectors) override {
+    writes.push_back({lba, sectors, device->dirty_sectors()});
+    return Duration::Millis(1);
+  }
+  Duration CacheTransferTime(uint32_t) const override {
+    return Duration::Micros(1);
+  }
+  std::string name() const override { return "recording"; }
+
+  const SimBlockDevice* device = nullptr;
+  std::vector<MediumWrite> writes;
+};
+
+TEST(BlockDeviceTest, RedirtiedSectorDestagesFromItsNewFifoPosition) {
+  // A sector gathered into a run and dirtied again while that run is in
+  // flight must destage from its new place at the back of the FIFO, not
+  // from the place it held before it was gathered.
+  Simulator sim;
+  auto model = std::make_unique<RecordingModel>();
+  RecordingModel& rec = *model;
+  SimBlockDevice dev(sim, SmallDisk(WriteCachePolicy::kWriteBack),
+                     std::move(model));
+  rec.device = &dev;
+  // Three concurrent single-sector writes land in the cache at the same
+  // instant, in spawn order, before the destage loop runs: the FIFO is
+  // 10, 30, 11, and the first run gathers 10-11.
+  for (const uint64_t lba : {10, 30, 11}) {
+    sim.Spawn([](SimBlockDevice& d, uint64_t at) -> Task<void> {
+      co_await d.Write(at, Pattern(512, 1), /*fua=*/false);
+    }(dev, lba));
+  }
+  std::vector<uint64_t> dirty_seen;
+  sim.Spawn([](Simulator& s, SimBlockDevice& d,
+               std::vector<uint64_t>& seen) -> Task<void> {
+    co_await s.Sleep(Duration::Micros(100));  // 10-11 is on the medium now
+    seen.push_back(d.dirty_sectors());
+    co_await d.Write(40, Pattern(512, 2), /*fua=*/false);
+    seen.push_back(d.dirty_sectors());
+    co_await d.Write(11, Pattern(512, 3), /*fua=*/false);
+    seen.push_back(d.dirty_sectors());
+  }(sim, dev, dirty_seen));
+  sim.Run();
+
+  const std::vector<RecordingModel::MediumWrite> want = {
+      {10, 2, 1},  // 30 left dirty
+      {30, 1, 2},  // 40 and the re-dirtied 11 left
+      {40, 1, 1},
+      {11, 1, 0},
+  };
+  ASSERT_EQ(rec.writes.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rec.writes[i].lba, want[i].lba) << "medium write " << i;
+    EXPECT_EQ(rec.writes[i].sectors, want[i].sectors) << "medium write " << i;
+    EXPECT_EQ(rec.writes[i].dirty_after_gather, want[i].dirty_after_gather)
+        << "medium write " << i;
+  }
+  EXPECT_EQ(dirty_seen, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(dev.dirty_sectors(), 0u);
+  EXPECT_EQ(dev.stats().destaged_sectors.value(), 5);
+  std::vector<uint8_t> got(512);
+  dev.image().ReadDurable(11, got);
+  EXPECT_EQ(got, Pattern(512, 3));
 }
 
 TEST(BlockDeviceTest, RequestsAfterPowerLossFail) {
