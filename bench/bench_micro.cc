@@ -7,7 +7,8 @@
 // table-driven reference, slice-by-8, and the dispatched production path,
 // which is the SSE4.2 instruction where the host has it), simulator event
 // dispatch rate (pooled heap vs a naive priority_queue<std::function>
-// baseline), write-back destage bookkeeping rate, and chaos-campaign
+// baseline), write-back destage bookkeeping rate, root-task spawn and reap
+// rate among thousands of live roots, and chaos-campaign
 // wall-clock at --jobs 1 vs --jobs N. These are the numbers later PRs are
 // judged against; the suite also cross-checks that the parallel campaign
 // reproduces the sequential corpus hash.
@@ -230,6 +231,42 @@ double DestageSectorsPerSec() {
   return static_cast<double>(dev.stats().destaged_sectors.value()) / secs;
 }
 
+// Root tasks/sec spawned and reaped while 5 000 long-lived roots stay
+// parked, the shape of a 2PC fleet (one 400 ms vote timeout per
+// transaction). Short roots churn through 1 ms RunUntil slices, and
+// pending_tasks() is polled after each slice, as a slice-driven harness does.
+// Parking is set-up, outside the timed part.
+double RootSpawnReapPerSec() {
+  constexpr int kRounds = 8;
+  constexpr int kParked = 5000;
+  constexpr int kSlices = 200;
+  constexpr int kPerSlice = 64;
+  const auto sleeper = [](rlsim::Simulator& s,
+                          rlsim::Duration d) -> rlsim::Task<void> {
+    co_await s.Sleep(d);
+  };
+  double secs = 0;
+  size_t pending = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    rlsim::Simulator sim;
+    for (int i = 0; i < kParked; ++i) {
+      sim.Spawn(sleeper(sim, rlsim::Duration::Millis(400)));
+    }
+    const WallClock::time_point t0 = WallClock::now();
+    for (int slice = 1; slice <= kSlices; ++slice) {
+      for (int i = 0; i < kPerSlice; ++i) {
+        sim.Spawn(sleeper(sim, rlsim::Duration::Micros(i * 10)));
+      }
+      sim.RunUntil(rlsim::TimePoint::Origin() +
+                   rlsim::Duration::Millis(slice));
+      pending += sim.pending_tasks();
+    }
+    secs += SecondsSince(t0);
+  }
+  benchmark::DoNotOptimize(pending);
+  return static_cast<double>(kRounds) * kSlices * kPerSlice / secs;
+}
+
 constexpr int kEventBatch = 1000;
 constexpr int kEventRounds = 200;
 
@@ -315,6 +352,7 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   const double pooled_eps = PooledEventsPerSec();
   const double naive_eps = NaiveQueueEventsPerSec();
   const double destage_sps = DestageSectorsPerSec();
+  const double root_sps = RootSpawnReapPerSec();
 
   constexpr uint64_t kCampaignEpisodes = 40;
   const CampaignTiming seq = TimeCampaign(1, kCampaignEpisodes);
@@ -337,6 +375,7 @@ int RunPerfSuite(const std::string& json_path, int jobs) {
   writer.Add("events_per_sec_naive_queue", naive_eps, "events/s");
   writer.Add("event_dispatch_speedup", pooled_eps / naive_eps, "x");
   writer.Add("destage_sectors_per_sec", destage_sps, "sectors/s");
+  writer.Add("root_spawn_reap_per_sec", root_sps, "tasks/s");
   writer.Add("campaign_40ep_jobs1_sec", seq.seconds, "s");
   writer.Add("campaign_40ep_jobsN_sec", par.seconds, "s");
   writer.Add("campaign_jobs", jobs, "threads");

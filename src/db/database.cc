@@ -488,8 +488,7 @@ Task<void> Database::RedoPartitioned(
               ++s.replayed;
             }
           }
-        }(*this, records, horizons, plan, next_stream),
-        "redo-stream");
+        }(*this, records, horizons, plan, next_stream));
   }
   co_await group.Join();
 
@@ -805,8 +804,7 @@ void Database::MaybeScheduleCheckpoint() {
         }
         db.checkpoint_pending_ = false;
         db.checkpoint_done_->NotifyAll();
-      }(*this),
-      "db-checkpoint");
+      }(*this));
 }
 
 Task<void> Database::Checkpoint() {

@@ -83,7 +83,7 @@ LogWriter::LogWriter(rlsim::Simulator& sim, rlstor::BlockDevice& device,
       exited_wake_(sim) {
   RL_CHECK(profile_.log_block_bytes % kSectorSize == 0);
   RL_CHECK(profile_.log_block_bytes > kBlockHeaderBytes + 64);
-  sim_.Spawn(FlusherLoop(), "wal-flusher");
+  sim_.Spawn(FlusherLoop());
 }
 
 void LogWriter::ResumeAt(uint64_t next_block, uint64_t next_lsn) {

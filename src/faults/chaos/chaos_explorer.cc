@@ -96,8 +96,7 @@ Task<void> ClientTask(EpisodeState& st, int id, std::shared_ptr<bool> stop) {
 void SpawnClients(EpisodeState& st) {
   st.stop = std::make_shared<bool>(false);
   for (int c = 0; c < 4; ++c) {
-    st.sim.Spawn(ClientTask(st, st.next_client_id++, st.stop),
-                 "chaos-client");
+    st.sim.Spawn(ClientTask(st, st.next_client_id++, st.stop));
   }
 }
 
@@ -199,7 +198,7 @@ void ApplyEvent(EpisodeState& st, const FaultEvent& e) {
     case FaultKind::kPowerRestore:
       // Also fires as a retry when a previous recovery died with mains up.
       if (!st.recovering && (!bed.psu().mains_on() || !bed.db_open())) {
-        st.sim.Spawn(PowerRecoveryTask(st), "chaos-power-recovery");
+        st.sim.Spawn(PowerRecoveryTask(st));
       }
       break;
     case FaultKind::kGuestCrash:
@@ -211,7 +210,7 @@ void ApplyEvent(EpisodeState& st, const FaultEvent& e) {
     case FaultKind::kGuestRecover:
       if (bed.vm() != nullptr && !bed.vm()->running() &&
           bed.psu().mains_on() && !st.recovering) {
-        st.sim.Spawn(GuestRecoveryTask(st), "chaos-guest-recovery");
+        st.sim.Spawn(GuestRecoveryTask(st));
       }
       break;
     case FaultKind::kLogDiskFault:
@@ -470,7 +469,7 @@ EpisodeOutcome RunEpisode(const EpisodeConfig& cfg, const RunOptions& run) {
   rlwork::KvWorkload kv(sim, kv_cfg);
 
   EpisodeState st(sim, bed, kv, cfg, run, out);
-  sim.Spawn(EpisodeMain(st), "chaos-episode");
+  sim.Spawn(EpisodeMain(st));
   sim.Run();
 
   out.committed = static_cast<uint64_t>(kv.stats().committed.value());

@@ -133,7 +133,7 @@ void ApplyFleetEvent(FleetEpisodeState& st, const FaultEvent& e) {
     case FaultKind::kRecoverShard: {
       const size_t i = e.arg % shards;
       if (!fleet.shard_powered(i) && st.shard_recovering.count(i) == 0) {
-        st.sim.Spawn(ShardRecoveryTask(st, i), "chaos-shard-recovery");
+        st.sim.Spawn(ShardRecoveryTask(st, i));
       }
       break;
     }
@@ -148,7 +148,7 @@ void ApplyFleetEvent(FleetEpisodeState& st, const FaultEvent& e) {
       break;
     case FaultKind::kRecoverCoordinator:
       if (!fleet.coordinator_alive() && !st.coord_recovering) {
-        st.sim.Spawn(CoordRecoveryTask(st), "chaos-coord-recovery");
+        st.sim.Spawn(CoordRecoveryTask(st));
       }
       break;
     default:
@@ -166,7 +166,7 @@ Task<void> FleetEpisodeMain(FleetEpisodeState& st) {
     co_return;
   }
   for (int c = 0; c < 4; ++c) {
-    sim.Spawn(ClientTask(st, c), "chaos-fleet-client");
+    sim.Spawn(ClientTask(st, c));
   }
 
   const TimePoint start = sim.now();
@@ -299,7 +299,7 @@ EpisodeOutcome RunFleetEpisode(const EpisodeConfig& cfg,
   rlwork::FleetWorkload work(sim, wcfg);
 
   FleetEpisodeState st(sim, fleet, work, cfg, run, out);
-  sim.Spawn(FleetEpisodeMain(st), "chaos-fleet-episode");
+  sim.Spawn(FleetEpisodeMain(st));
   sim.Run();
 
   out.committed = static_cast<uint64_t>(work.stats().committed.value());

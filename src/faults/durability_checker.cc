@@ -109,7 +109,10 @@ Task<VerifyResult> DurabilityChecker::VerifyAfterRecovery(
   pending_.clear();
 
   // Every acknowledged write must be present.
-  for (const auto& [key, expected] : committed_) {
+  // In ascending key order: the hash map's iteration order must not decide
+  // the order of the verification reads.
+  for (const uint64_t key : rlsim::SortedKeys(committed_)) {
+    const std::optional<std::vector<uint8_t>>& expected = committed_.at(key);
     ++result.keys_checked;
     std::vector<uint8_t> got;
     const bool found = co_await db.ReadCommitted(key, &got);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -63,7 +62,7 @@ class DurabilityChecker {
 
  private:
   // key -> latest acknowledged value (nullopt = acknowledged delete).
-  std::map<uint64_t, std::optional<std::vector<uint8_t>>> committed_;
+  std::unordered_map<uint64_t, std::optional<std::vector<uint8_t>>> committed_;
   std::unordered_map<uint64_t, std::vector<TrackedWrite>> pending_;
 };
 

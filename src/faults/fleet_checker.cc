@@ -31,11 +31,12 @@ void FleetChecker::OnTxnAttempt(uint64_t token,
 void FleetChecker::OnCommitAcked(uint64_t token) {
   const auto it = pending_.find(token);
   RL_CHECK_MSG(it != pending_.end(), "ack for unknown txn token");
-  for (const TrackedWrite& w : it->second) {
+  // The pending entry is erased below, so its values move, not copy.
+  for (TrackedWrite& w : it->second) {
     if (w.is_delete) {
       committed_[w.key] = std::nullopt;
     } else {
-      committed_[w.key] = w.value;
+      committed_[w.key] = std::move(w.value);
     }
   }
   pending_.erase(it);
@@ -103,7 +104,10 @@ Task<VerifyResult> FleetChecker::VerifyAfterRecovery(
   pending_.clear();
 
   // Every acknowledged write must be present on its owning shard.
-  for (const auto& [key, expected] : committed_) {
+  // In ascending key order: the hash map's iteration order must not decide
+  // the order of the verification reads.
+  for (const uint64_t key : rlsim::SortedKeys(committed_)) {
+    const std::optional<std::vector<uint8_t>>& expected = committed_.at(key);
     ++result.keys_checked;
     std::vector<uint8_t> got;
     const bool found = co_await ReadKey(directory, dbs, key, &got);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -55,7 +54,7 @@ class FleetChecker {
   size_t model_size() const { return committed_.size(); }
 
  private:
-  std::map<uint64_t, std::optional<std::vector<uint8_t>>> committed_;
+  std::unordered_map<uint64_t, std::optional<std::vector<uint8_t>>> committed_;
   std::unordered_map<uint64_t, std::vector<TrackedWrite>> pending_;
 };
 

@@ -9,7 +9,7 @@ namespace rlobs {
 void MetricsSnapshotter::Start(const bool* stop) {
   RL_CHECK_MSG(interval_ > rlsim::Duration::Zero(),
                "MetricsSnapshotter interval must be positive");
-  sim_.Spawn(Loop(stop), "metrics-snapshotter");
+  sim_.Spawn(Loop(stop));
 }
 
 rlsim::Task<void> MetricsSnapshotter::Loop(const bool* stop) {

@@ -24,7 +24,7 @@ RapiLogDevice::RapiLogDevice(rlsim::Simulator& sim, rlpow::PowerSupply& psu,
       drained_(sim) {
   RL_CHECK(max_buffer_bytes_ >= kSectorSize);
   psu.Register(this);
-  sim_.Spawn(DrainLoop(), "rapilog-drain");
+  sim_.Spawn(DrainLoop());
 }
 
 uint64_t RapiLogDevice::ComputeBudget(const rlpow::PowerSupply& psu) const {

@@ -46,8 +46,8 @@ LogShipper::LogShipper(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
                           .last_activity = sim_.now(),
                           .backoff_doublings = 0});
   }
-  sim_.Spawn(AckLoop(), self_name_ + "-acks");
-  sim_.Spawn(RetransmitLoop(), self_name_ + "-retransmit");
+  sim_.Spawn(AckLoop());
+  sim_.Spawn(RetransmitLoop());
 }
 
 void LogShipper::Ship(uint64_t lba, std::span<const uint8_t> data) {

@@ -28,7 +28,7 @@ ReplicaNode::ReplicaNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
   disk_ = std::make_unique<rlstor::SimBlockDevice>(
       sim_, disk_opts,
       options.ssd ? rlstor::MakeDefaultSsd() : rlstor::MakeDefaultHdd());
-  sim_.Spawn(ReceiveLoop(), name_ + "-recv");
+  sim_.Spawn(ReceiveLoop());
 }
 
 Task<void> ReplicaNode::ReceiveLoop() {

@@ -22,8 +22,8 @@ ShardNode::ShardNode(rlsim::Simulator& sim, rlnet::NetworkFabric& fabric,
 void ShardNode::Start() {
   RL_CHECK_MSG(!started_, "ShardNode started twice");
   started_ = true;
-  sim_.Spawn(ReceiveLoop(), name_ + "-recv");
-  sim_.Spawn(ResolverLoop(), name_ + "-resolver");
+  sim_.Spawn(ReceiveLoop());
+  sim_.Spawn(ResolverLoop());
 }
 
 void ShardNode::Reply(const WireMessage& msg, const rlobs::TraceContext& ctx) {
@@ -45,19 +45,17 @@ rlsim::Task<void> ShardNode::ReceiveLoop() {
     const rlobs::TraceContext ctx = rlobs::TraceContext::Decode(raw.ext);
     switch (msg.type) {
       case MsgType::kPrepareReq:
-        sim_.Spawn(HandlePrepare(std::move(msg), ctx), name_ + "-prepare");
+        sim_.Spawn(HandlePrepare(std::move(msg), ctx));
         break;
       case MsgType::kExecuteReq:
-        sim_.Spawn(HandleExecute(std::move(msg), ctx), name_ + "-execute");
+        sim_.Spawn(HandleExecute(std::move(msg), ctx));
         break;
       case MsgType::kDecision:
-        sim_.Spawn(HandleDecision(msg.global_id, msg.flag != 0, ctx),
-                   name_ + "-decision");
+        sim_.Spawn(HandleDecision(msg.global_id, msg.flag != 0, ctx));
         break;
       case MsgType::kQueryResp:
         sim_.Spawn(HandleQueryResp(msg.global_id,
-                                   static_cast<QueryAnswer>(msg.flag), ctx),
-                   name_ + "-resolve");
+                                   static_cast<QueryAnswer>(msg.flag), ctx));
         break;
       case MsgType::kVote:
       case MsgType::kExecuteResp:

@@ -42,7 +42,7 @@ rlsim::Task<void> TxnCoordinator::Start() {
   alive_ = true;
   if (!loop_started_) {
     loop_started_ = true;
-    sim_.Spawn(ReceiveLoop(), name_ + "-recv");
+    sim_.Spawn(ReceiveLoop());
   }
 }
 
@@ -97,7 +97,7 @@ rlsim::Task<TxnOutcome> TxnCoordinator::Execute(uint64_t global_id,
       SendToShard(part.shard, req, prep_ctx);
     }
   }
-  sim_.Spawn(TimeoutTask(global_id, epoch), name_ + "-timeout");
+  sim_.Spawn(TimeoutTask(global_id, epoch));
 
   // Wait for resolution: every vote in / fast-path response / a no-vote /
   // timeout / crash. `p` stays valid across waits — Crash() marks entries
@@ -173,7 +173,7 @@ void TxnCoordinator::StartPush(uint64_t global_id, bool commit,
   for (const ShardOps& part : parts) {
     push.unacked.insert(part.shard);
   }
-  sim_.Spawn(PusherTask(global_id, epoch_), name_ + "-push");
+  sim_.Spawn(PusherTask(global_id, epoch_));
 }
 
 rlsim::Task<void> TxnCoordinator::PusherTask(uint64_t global_id,

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -31,7 +32,12 @@ Simulator::~Simulator() {
     e.node->fn = nullptr;
   }
   heap_.clear();
-  roots_.clear();
+  // Destroy the frames in spawn order (std::map's own teardown order is
+  // unspecified), so that whatever their destructors do happens in a fixed
+  // order.
+  while (!roots_.empty()) {
+    roots_.erase(roots_.begin());
+  }
 }
 
 Simulator::EventNode* Simulator::AllocNode() {
@@ -68,10 +74,13 @@ void Simulator::ScheduleAt(TimePoint at, std::function<void()> fn) {
   std::push_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
-void Simulator::Spawn(Task<void> task, std::string name) {
+void Simulator::Spawn(Task<void> task, std::string_view /*label*/) {
   RL_CHECK(task.valid());
-  roots_.push_back(RootTask{std::move(task), std::move(name)});
-  roots_.back().task.Start();
+  const uint64_t seq = next_root_seq_++;
+  // Report completion before starting: the task may finish inside Start().
+  task.ReportCompletionTo(&finished_roots_, seq);
+  auto it = roots_.emplace_hint(roots_.end(), seq, std::move(task));
+  it->second.Start();
 }
 
 bool Simulator::Step(TimePoint deadline) {
@@ -124,21 +133,24 @@ size_t Simulator::RunUntil(TimePoint deadline) {
   return n;
 }
 
-size_t Simulator::pending_tasks() const {
-  return static_cast<size_t>(
-      std::count_if(roots_.begin(), roots_.end(),
-                    [](const RootTask& r) { return !r.task.done(); }));
-}
-
 void Simulator::ReapFinishedTasks() {
-  for (auto it = roots_.begin(); it != roots_.end();) {
-    if (it->task.done()) {
-      it->task.Rethrow();  // propagate uncaught task exceptions to Run()
-      it = roots_.erase(it);
-    } else {
-      ++it;
+  std::sort(finished_roots_.begin(), finished_roots_.end());
+  size_t reaped = 0;
+  try {
+    for (; reaped < finished_roots_.size(); ++reaped) {
+      auto it = roots_.find(finished_roots_[reaped]);
+      it->second.Rethrow();  // propagate uncaught task exceptions to Run()
+      roots_.erase(it);
     }
+  } catch (...) {
+    // The thrower and every root after it stay queued, so the next reap
+    // rethrows the same exception first.
+    finished_roots_.erase(finished_roots_.begin(),
+                          finished_roots_.begin() +
+                              static_cast<std::ptrdiff_t>(reaped));
+    throw;
   }
+  finished_roots_.clear();
 }
 
 }  // namespace rlsim

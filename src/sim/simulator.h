@@ -10,8 +10,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/check.h"
@@ -56,9 +57,12 @@ class Simulator {
     return Awaiter{*this, d};
   }
 
-  // Starts a detached root task. The simulator owns its frame; if the task
-  // ends with an uncaught exception, Run() rethrows it.
-  void Spawn(Task<void> task, std::string name = "task");
+  // Starts a detached root task. The simulator owns its frame and destroys
+  // it at the first reap after the task finishes; if the task ended with an
+  // uncaught exception, that reap rethrows it from Run()/RunUntil(). The
+  // label is ignored and not stored, so no spawn allocates; the parameter
+  // stays only so that callers which still pass one compile unchanged.
+  void Spawn(Task<void> task, std::string_view label = {});
 
   // Runs events until the queue is empty or Stop() is called. Returns the
   // number of events processed.
@@ -73,7 +77,9 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   // Number of root tasks that have not yet completed.
-  size_t pending_tasks() const;
+  size_t pending_tasks() const {
+    return roots_.size() - finished_roots_.size();
+  }
 
   // Optional execution-trace sink (see src/sim/trace.h). Not owned; the
   // caller must clear it before the sink dies. Null = tracing off.
@@ -149,14 +155,12 @@ class Simulator {
     }
   };
 
-  struct RootTask {
-    Task<void> task;
-    std::string name;
-  };
-
   // Pops and runs one event. Returns false if the queue is empty, the next
   // event is beyond `deadline`, or Stop() was called.
   bool Step(TimePoint deadline);
+  // Destroys the roots that finished since the last reap, in spawn order,
+  // rethrowing the first uncaught exception among them. Runs every 4096
+  // events and at the end of every Run()/RunUntil().
   void ReapFinishedTasks();
 
   EventNode* AllocNode();
@@ -170,7 +174,12 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   EventNode* free_list_ = nullptr;
-  std::vector<RootTask> roots_;
+  // Live and finished-but-unreaped root tasks, keyed by spawn sequence, and
+  // the sequence numbers of those that finished since the last reap (each
+  // root appends its own on completion; see Task::ReportCompletionTo).
+  std::map<uint64_t, Task<void>> roots_;
+  std::vector<uint64_t> finished_roots_;
+  uint64_t next_root_seq_ = 0;
   Rng rng_;
   TraceEventSink* tracer_ = nullptr;
   uint64_t next_span_id_ = 0;

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -296,9 +297,10 @@ class TaskGroup {
  public:
   explicit TaskGroup(Simulator& sim) : sim_(sim), done_(sim) {}
 
-  void Spawn(Task<void> task, std::string name = "group-task") {
+  // Like Simulator::Spawn, the label is ignored.
+  void Spawn(Task<void> task, std::string_view /*label*/ = {}) {
     ++outstanding_;
-    sim_.Spawn(Wrap(std::move(task)), std::move(name));
+    sim_.Spawn(Wrap(std::move(task)));
   }
 
   Task<void> Join() {

@@ -3,16 +3,20 @@
 // Task<T> is a lazily-started coroutine. Awaiting a Task starts it and
 // suspends the awaiter until the task completes; the task's return value (or
 // exception) is propagated to the awaiter. Root tasks are handed to
-// Simulator::Spawn, which starts them and owns their frames.
+// Simulator::Spawn, which starts them and owns their frames; a root has no
+// awaiter, so on completion it reports its spawn sequence number to the
+// simulator instead (see ReportCompletionTo).
 //
 // The whole simulation is single-threaded, so no synchronisation is needed
 // anywhere in this file.
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "src/sim/check.h"
 
@@ -31,9 +35,16 @@ class TaskPromiseBase {
     template <typename Promise>
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<Promise> h) noexcept {
-      // Symmetric transfer to whoever awaited this task, if anyone.
-      auto continuation = h.promise().continuation_;
-      return continuation ? continuation : std::noop_coroutine();
+      // Symmetric transfer to whoever awaited this task, if anyone. A root
+      // task has no awaiter: it reports its completion instead.
+      TaskPromiseBase& p = h.promise();
+      if (p.continuation_) {
+        return p.continuation_;
+      }
+      if (p.finished_ != nullptr) {
+        p.finished_->push_back(p.root_seq_);
+      }
+      return std::noop_coroutine();
     }
 
     void await_resume() const noexcept {}
@@ -46,8 +57,16 @@ class TaskPromiseBase {
     continuation_ = h;
   }
 
+  void ReportCompletionTo(std::vector<uint64_t>* finished,
+                          uint64_t root_seq) noexcept {
+    finished_ = finished;
+    root_seq_ = root_seq;
+  }
+
  protected:
   std::coroutine_handle<> continuation_;
+  std::vector<uint64_t>* finished_ = nullptr;  // set on root tasks only
+  uint64_t root_seq_ = 0;
 };
 
 }  // namespace internal
@@ -180,6 +199,14 @@ class [[nodiscard]] Task<void> {
   void Start() {
     RL_CHECK(handle_ && !handle_.done());
     handle_.resume();
+  }
+
+  // Makes a root task append `root_seq` to `*finished` when it completes.
+  // Only Simulator::Spawn should call this, before Start(): a root can
+  // finish synchronously inside Start().
+  void ReportCompletionTo(std::vector<uint64_t>* finished, uint64_t root_seq) {
+    RL_CHECK(handle_ && !handle_.done());
+    handle_.promise().ReportCompletionTo(finished, root_seq);
   }
 
   // Rethrows the task's exception, if it ended with one. Only meaningful

@@ -50,7 +50,7 @@ SimBlockDevice::SimBlockDevice(rlsim::Simulator& sim, Options options,
   RL_CHECK(model_ != nullptr);
   RL_CHECK(options_.geometry.sector_size == kSectorSize);
   if (options_.cache_policy != WriteCachePolicy::kWriteThrough) {
-    sim_.Spawn(DestageLoop(), options_.name + "-destage");
+    sim_.Spawn(DestageLoop());
   }
 }
 

@@ -23,7 +23,7 @@ BlockBackend::BlockBackend(rlsim::Simulator& sim, rlkern::Kernel& kernel,
       target_(target),
       name_(std::move(name)) {}
 
-void BlockBackend::Start() { sim_.Spawn(ServiceLoop(), name_); }
+void BlockBackend::Start() { sim_.Spawn(ServiceLoop()); }
 
 rlsim::Task<void> BlockBackend::ServiceLoop() {
   while (true) {
@@ -32,7 +32,7 @@ rlsim::Task<void> BlockBackend::ServiceLoop() {
     if (st != KernelStatus::kOk) {
       co_return;  // endpoint destroyed — backend retires
     }
-    sim_.Spawn(HandleRequest(std::move(request)), name_ + "-req");
+    sim_.Spawn(HandleRequest(std::move(request)));
   }
 }
 

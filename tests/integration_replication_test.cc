@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 
 #include "src/faults/durability_checker.h"
 #include "src/harness/testbed.h"
@@ -118,11 +119,15 @@ TEST(ReplicationIntegrationTest, PartitionedReplicaCatchesUpAfterHeal) {
                                 rlrep::ShipMode::kQuorumAck, /*replicas=*/3));
   rlwork::KvWorkload kv(sim, rltest::WriteHeavyKv());
   uint64_t cursor_while_partitioned = 0;
+  // The clients outlive this root (they read the flag after it finishes), so
+  // the flag must outlive its frame too.
+  std::shared_ptr<bool> stop;
   sim.Spawn([](Simulator& s, Testbed& b, rlwork::KvWorkload& w,
-               uint64_t& partitioned_cursor) -> Task<void> {
+               uint64_t& partitioned_cursor,
+               std::shared_ptr<bool>& stop) -> Task<void> {
     co_await b.Start();
     co_await w.Load(b.db(), 300);
-    auto stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, nullptr);
+    stop = rltest::SpawnFleet(s, w, b.db(), 0, 4, nullptr);
     co_await s.Sleep(Duration::Millis(200));
     b.PartitionReplica(2);
     co_await s.Sleep(Duration::Millis(400));
@@ -130,7 +135,7 @@ TEST(ReplicationIntegrationTest, PartitionedReplicaCatchesUpAfterHeal) {
     b.HealReplica(2);
     co_await s.Sleep(Duration::Millis(400));
     *stop = true;
-  }(sim, bed, kv, cursor_while_partitioned));
+  }(sim, bed, kv, cursor_while_partitioned, stop));
   sim.Run();
 
   // It fell behind during the partition and retransmission closed the gap.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/sim/check.h"
@@ -154,6 +155,112 @@ TEST(SimulatorTest, TaskExceptionPropagatesFromRun) {
     throw std::runtime_error("boom");
   }(sim));
   EXPECT_THROW(sim.Run(), std::runtime_error);
+}
+
+// Roots are reaped in spawn order, not completion order: of two roots that
+// threw since the last reap, Run() rethrows the earlier-spawned one, even
+// though the later one finished first. A rethrown root stays queued (and so
+// does every root behind it), so the next Run() rethrows it again rather than
+// skipping past it.
+TEST(SimulatorTest, RootExceptionsRethrowInSpawnOrder) {
+  Simulator sim;
+  sim.Spawn([](Simulator& s) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(2));
+    throw std::runtime_error("first-spawned");
+  }(sim));
+  sim.Spawn([](Simulator& s) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(1));
+    throw std::logic_error("second-spawned");
+  }(sim));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      sim.Run();
+      ADD_FAILURE() << "Run() did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "first-spawned");
+    } catch (const std::logic_error&) {
+      ADD_FAILURE() << "later-spawned root rethrown first";
+    }
+  }
+  EXPECT_EQ(sim.pending_tasks(), 0u);
+}
+
+// A root that finishes synchronously inside Spawn is not pending, nor is one
+// that finished but has not been reaped yet.
+TEST(SimulatorTest, PendingTasksExcludesFinishedUnreapedRoots) {
+  Simulator sim;
+  sim.Spawn([]() -> Task<void> { co_return; }());
+  EXPECT_EQ(sim.pending_tasks(), 0u);
+
+  sim.Spawn([](Simulator& s) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(1));
+  }(sim));
+  sim.Spawn([](Simulator& s) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(5));
+  }(sim));
+  EXPECT_EQ(sim.pending_tasks(), 2u);
+  size_t pending_at_2ms = 0;
+  sim.Schedule(Duration::Millis(2),
+               [&] { pending_at_2ms = sim.pending_tasks(); });
+  sim.Run();
+  EXPECT_EQ(pending_at_2ms, 1u);
+  EXPECT_EQ(sim.pending_tasks(), 0u);
+}
+
+// Records its id when the coroutine frame holding it is destroyed. Moving
+// disarms the source, so only the frame's copy of the parameter records.
+struct DestroyRecorder {
+  DestroyRecorder(std::vector<int>* log, int id) : log(log), id(id) {}
+  DestroyRecorder(DestroyRecorder&& other) noexcept
+      : log(std::exchange(other.log, nullptr)), id(other.id) {}
+  DestroyRecorder(const DestroyRecorder&) = delete;
+  DestroyRecorder& operator=(const DestroyRecorder&) = delete;
+  DestroyRecorder& operator=(DestroyRecorder&&) = delete;
+  ~DestroyRecorder() {
+    if (log != nullptr) {
+      log->push_back(id);
+    }
+  }
+  std::vector<int>* log;
+  int id;
+};
+
+Task<void> SleepHolding(Simulator& sim, Duration d, DestroyRecorder) {
+  co_await sim.Sleep(d);
+}
+
+// Finished frames live until the next reap, which destroys them in spawn
+// order whatever order they finished in.
+TEST(SimulatorTest, ReapDestroysFinishedFramesInSpawnOrder) {
+  Simulator sim;
+  std::vector<int> destroyed;
+  const int finish_ms[] = {2, 3, 1};  // root 2 finishes first, root 1 last
+  for (int id = 0; id < 3; ++id) {
+    sim.Spawn(SleepHolding(sim, Duration::Millis(finish_ms[id]),
+                           DestroyRecorder(&destroyed, id)));
+  }
+  std::vector<int> before_reap;
+  sim.Schedule(Duration::Millis(4), [&] { before_reap = destroyed; });
+  sim.Run();
+  EXPECT_TRUE(before_reap.empty());
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2}));
+}
+
+// Tearing the simulator down destroys still-suspended root frames in spawn
+// order too.
+TEST(SimulatorTest, DestructorDestroysSuspendedFramesInSpawnOrder) {
+  std::vector<int> destroyed;
+  {
+    Simulator sim;
+    const int wake_ms[] = {30, 10, 20};
+    for (int id = 0; id < 3; ++id) {
+      sim.Spawn(SleepHolding(sim, Duration::Millis(wake_ms[id]),
+                             DestroyRecorder(&destroyed, id)));
+    }
+    sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
+    EXPECT_TRUE(destroyed.empty());
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(SimulatorTest, AwaitedTaskExceptionReachesParent) {
