@@ -112,8 +112,7 @@ void BM_KernelIpcRoundTrip(benchmark::State& state) {
     rlkern::Kernel kernel(sim);
     const rlkern::ObjectId root = kernel.BootstrapCNode(16);
     kernel.BootstrapUntyped(root, 0, 1 << 16);
-    kernel.Retype(rlkern::SlotAddr{root, 0}, rlkern::ObjectType::kEndpoint, 0,
-                  root, 1, 1);
+    kernel.Retype(rlkern::SlotAddr{root, 0}, root, 1, 1);
     const rlkern::SlotAddr ep{root, 1};
     sim.Spawn([](rlkern::Kernel& k, rlkern::SlotAddr e) -> rlsim::Task<void> {
       for (int i = 0; i < 100; ++i) {

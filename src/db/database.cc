@@ -285,7 +285,8 @@ Task<void> Database::Recover() {
   const uint64_t scan_span =
       sim_.EmitSpanBegin("db", "recover-scan", meta_.replay_block);
   const LogScanResult scan =
-      co_await ScanLog(log_dev_, options_.profile, meta_.replay_block);
+      co_await ScanLog(log_dev_, options_.profile, meta_.replay_block,
+                       meta_.replay_lsn);
   sim_.EmitSpanEnd(scan_span, "db", "recover-scan", scan.records.size());
   std::unordered_set<uint64_t> committed;
   std::unordered_set<uint64_t> aborted;
@@ -370,7 +371,7 @@ Task<void> Database::Recover() {
   } else {
     co_await RedoPartitioned(scan.records, candidates, horizons);
   }
-  wal_->ResumeAt(scan.next_block, scan.next_lsn);
+  wal_->ResumeAt(scan.next_block, scan.next_lsn, meta_.replay_lsn);
 
   // Adopt the in-doubt txns before any checkpoint runs: their first_lsn
   // values are what hold the replay point at (or before) their prepare

@@ -115,7 +115,7 @@ struct MetaContent {
   uint64_t root_page = 0;        // 0 = empty tree
   uint64_t next_free_page = 0;   // page allocator watermark
   uint64_t replay_block = 0;     // first log block recovery must scan
-  uint64_t replay_lsn = 0;       // informational lower bound
+  uint64_t replay_lsn = 0;       // first LSN recovery replays
   uint32_t page_bytes = 0;       // engine page size (sanity-checked at open)
 };
 

@@ -86,8 +86,12 @@ LogWriter::LogWriter(rlsim::Simulator& sim, rlstor::BlockDevice& device,
   sim_.Spawn(FlusherLoop());
 }
 
-void LogWriter::ResumeAt(uint64_t next_block, uint64_t next_lsn) {
+void LogWriter::ResumeAt(uint64_t next_block, uint64_t next_lsn,
+                         uint64_t lsn_floor) {
   RL_CHECK(sealed_.empty() && tail_payload_.empty());
+  RL_CHECK_MSG(next_lsn >= lsn_floor, "WAL resumes at LSN "
+                                          << next_lsn << " below its floor "
+                                          << lsn_floor);
   tail_index_ = next_block;
   next_lsn_ = next_lsn;
   durable_lsn_ = next_lsn - 1;
@@ -263,9 +267,10 @@ Task<void> LogWriter::FlusherLoop() {
 
 Task<LogScanResult> ScanLog(rlstor::BlockDevice& device,
                             const EngineProfile& profile,
-                            uint64_t start_block) {
+                            uint64_t start_block, uint64_t lsn_floor) {
   LogScanResult result;
   result.next_block = start_block;
+  result.next_lsn = lsn_floor;
   const uint64_t sectors_per_block = profile.log_block_bytes / kSectorSize;
   std::vector<uint8_t> block(profile.log_block_bytes);
   for (uint64_t index = start_block;; ++index) {

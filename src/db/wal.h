@@ -75,7 +75,10 @@ class LogWriter {
             const EngineProfile& profile, DurabilityMode durability);
 
   // Continues an existing log (after recovery): next block index and LSN.
-  void ResumeAt(uint64_t next_block, uint64_t next_lsn);
+  // `next_lsn` may not fall below `lsn_floor`, the recovered checkpoint's
+  // replay point: the next recovery skips every record below it as applied.
+  void ResumeAt(uint64_t next_block, uint64_t next_lsn,
+                uint64_t lsn_floor = 1);
 
   // Assigns the record's LSN, buffers it, and returns the LSN.
   uint64_t Append(LogRecord rec);
@@ -150,12 +153,14 @@ class LogWriter {
 struct LogScanResult {
   std::vector<LogRecord> records;  // in LSN order
   uint64_t next_block = 0;         // first invalid/unwritten block
-  uint64_t next_lsn = 1;           // 1 + highest LSN seen
+  uint64_t next_lsn = 1;           // 1 + highest LSN seen, >= the floor
 };
 
-// Reads the valid prefix of the log starting at `start_block`.
+// Reads the valid prefix of the log starting at `start_block`. The result's
+// next_lsn is never below `lsn_floor`, even when the prefix is empty: a log
+// resumed there cannot reuse LSNs a checkpoint already covers.
 rlsim::Task<LogScanResult> ScanLog(rlstor::BlockDevice& device,
                                    const EngineProfile& profile,
-                                   uint64_t start_block);
+                                   uint64_t start_block, uint64_t lsn_floor);
 
 }  // namespace rldb

@@ -111,8 +111,9 @@ Task<VerifyResult> DurabilityChecker::VerifyAfterRecovery(
   // Every acknowledged write must be present.
   // In ascending key order: the hash map's iteration order must not decide
   // the order of the verification reads.
-  for (const uint64_t key : rlsim::SortedKeys(committed_)) {
-    const std::optional<std::vector<uint8_t>>& expected = committed_.at(key);
+  for (const auto* entry : rlsim::SortedEntries(committed_)) {
+    const uint64_t key = entry->first;
+    const std::optional<std::vector<uint8_t>>& expected = entry->second;
     ++result.keys_checked;
     std::vector<uint8_t> got;
     const bool found = co_await db.ReadCommitted(key, &got);

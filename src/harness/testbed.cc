@@ -9,9 +9,7 @@
 
 namespace rlharness {
 
-using rlkern::CapRights;
 using rlkern::KernelStatus;
-using rlkern::ObjectType;
 using rlkern::SlotAddr;
 using rlsim::Task;
 using rlstor::SimBlockDevice;
@@ -239,8 +237,8 @@ void Testbed::BuildGuestStack() {
   root_cnode_ = kernel_->BootstrapCNode(64);
   RL_CHECK(kernel_->BootstrapUntyped(root_cnode_, 0, 1 << 20) ==
            KernelStatus::kOk);
-  RL_CHECK(kernel_->Retype(SlotAddr{root_cnode_, 0}, ObjectType::kEndpoint, 0,
-                           root_cnode_, 1, 2) == KernelStatus::kOk);
+  RL_CHECK(kernel_->Retype(SlotAddr{root_cnode_, 0}, root_cnode_, 1, 2) ==
+           KernelStatus::kOk);
   const SlotAddr data_ep{root_cnode_, 1};
   const SlotAddr log_ep{root_cnode_, 2};
 

@@ -14,7 +14,7 @@ rlsim::Task<void> DecisionLog::Recover() {
   // Volatile state is rebuilt from the log alone: decisions are only acted
   // on after they are durable, so nothing acknowledged can be missing here.
   committed_.clear();
-  rldb::LogScanResult scan = co_await rldb::ScanLog(device_, profile_, 0);
+  rldb::LogScanResult scan = co_await rldb::ScanLog(device_, profile_, 0, 1);
   for (const rldb::LogRecord& rec : scan.records) {
     if (rec.type == rldb::LogRecordType::kCommit) {
       if (committed_.insert(rec.txn_id).second) {

@@ -31,4 +31,20 @@ std::vector<typename Container::key_type> SortedKeys(const Container& c) {
   return keys;
 }
 
+// A map's entries in ascending key order, as pointers into the map: one
+// pass instead of SortedKeys followed by a lookup per key. The pointers stay
+// valid while no entry is erased.
+template <typename Map>
+std::vector<const typename Map::value_type*> SortedEntries(const Map& m) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(m.size());
+  // simlint: ordered-ok (order-independent collection; sorted below)
+  for (const auto& entry : m) {
+    entries.push_back(&entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
 }  // namespace rlsim

@@ -30,7 +30,7 @@ rlsim::Task<void> BlockBackend::ServiceLoop() {
     Received request;
     const KernelStatus st = co_await kernel_.Recv(service_ep_, &request);
     if (st != KernelStatus::kOk) {
-      co_return;  // endpoint destroyed — backend retires
+      co_return;  // no endpoint at service_ep_ — backend retires
     }
     sim_.Spawn(HandleRequest(std::move(request)));
   }

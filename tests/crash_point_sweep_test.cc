@@ -74,7 +74,7 @@ TEST_P(WalCrashPointTest, ValidPrefixAtEveryCutInstant) {
   LogScanResult scan;
   sim.Spawn([](SimBlockDevice& d, const EngineProfile& p,
                LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(d, p, 0);
+    out = co_await ScanLog(d, p, 0, 1);
   }(dev, profile, scan));
   sim.Run();
 

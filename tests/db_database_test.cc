@@ -260,6 +260,36 @@ TEST(DatabaseTest, RepeatedCrashReopenIsIdempotent) {
   f.sim.Run();
 }
 
+// A recovery's checkpoint points the replay position just past the log
+// tail. If the machine dies before anything new is appended, the next
+// recovery scans an empty log suffix; the WAL must still resume above the
+// checkpoint's replay LSN, or the commits that follow get LSNs the next
+// recovery skips as already checkpointed.
+TEST(DatabaseTest, CommitAfterEmptyLogRecoverySurvivesCrash) {
+  EngineFixture f;
+  f.sim.Spawn([](EngineFixture& fx) -> Task<void> {
+    co_await fx.OpenDb();
+    for (uint64_t k = 0; k < 20; ++k) {
+      const uint64_t txn = fx.db->Begin();
+      co_await fx.db->Put(txn, k, fx.Value(k));
+      co_await fx.db->Commit(txn);
+    }
+    co_await fx.CrashAndReopen();  // recover
+    co_await fx.db->Checkpoint();
+    co_await fx.CrashAndReopen();  // crash before any new append; recover
+    EXPECT_EQ(fx.db->stats().recovered_records.value(), 0);
+    const uint64_t txn = fx.db->Begin();
+    EXPECT_EQ(co_await fx.db->Put(txn, 100, fx.Value(100)), DbStatus::kOk);
+    EXPECT_EQ(co_await fx.db->Commit(txn), DbStatus::kOk);
+    co_await fx.CrashAndReopen();
+    std::vector<uint8_t> got;
+    EXPECT_TRUE(co_await fx.db->ReadCommitted(100, &got));
+    EXPECT_EQ(got, fx.Value(100));
+    EXPECT_EQ(co_await fx.db->CommittedCount(), 21u);
+  }(f));
+  f.sim.Run();
+}
+
 TEST(DatabaseTest, OverwritesRecoverToLatestValue) {
   EngineFixture f;
   f.sim.Spawn([](EngineFixture& fx) -> Task<void> {

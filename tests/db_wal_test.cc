@@ -144,7 +144,7 @@ TEST(LogWriterTest, DurableDataSurvivesPowerLoss) {
   // Scan what is on the medium: all 20 updates must be there.
   LogScanResult result;
   f.sim.Spawn([](WalFixture& fx, LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(fx.dev, fx.profile_, 0);
+    out = co_await ScanLog(fx.dev, fx.profile_, 0, 1);
   }(f, result));
   f.sim.Run();
   EXPECT_EQ(result.records.size(), 20u);
@@ -168,7 +168,7 @@ TEST(LogWriterTest, UnflushedTailLostButPrefixValid) {
   f.dev.PowerRestore();
   LogScanResult result;
   f.sim.Spawn([](WalFixture& fx, LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(fx.dev, fx.profile_, 0);
+    out = co_await ScanLog(fx.dev, fx.profile_, 0, 1);
   }(f, result));
   f.sim.Run();
   EXPECT_LT(result.records.size(), 200u);  // something was lost
@@ -211,7 +211,7 @@ TEST(LogWriterTest, RecordsSpanMultipleBlocks) {
   f.sim.Run();
   LogScanResult result;
   f.sim.Spawn([](WalFixture& fx, LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(fx.dev, fx.profile_, 0);
+    out = co_await ScanLog(fx.dev, fx.profile_, 0, 1);
   }(f, result));
   f.sim.Run();
   EXPECT_EQ(result.records.size(), 50u);
@@ -229,7 +229,7 @@ TEST(LogWriterTest, ResumeContinuesFromScan) {
   // Second writer resumes after scanning.
   LogScanResult scan;
   f.sim.Spawn([](WalFixture& fx, LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(fx.dev, fx.profile_, 0);
+    out = co_await ScanLog(fx.dev, fx.profile_, 0, 1);
   }(f, scan));
   f.sim.Run();
 
@@ -247,7 +247,7 @@ TEST(LogWriterTest, ResumeContinuesFromScan) {
 
   LogScanResult rescan;
   f.sim.Spawn([](WalFixture& fx, LogScanResult& out) -> Task<void> {
-    out = co_await ScanLog(fx.dev, fx.profile_, 0);
+    out = co_await ScanLog(fx.dev, fx.profile_, 0, 1);
   }(f, rescan));
   f.sim.Run();
   EXPECT_EQ(rescan.records.size(), 2u);

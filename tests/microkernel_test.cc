@@ -25,6 +25,32 @@ struct Fixture {
 
   SlotAddr Slot(CPtr i) const { return SlotAddr{root, i}; }
 
+  // Calls `ep` once with `words` and runs the simulation; returns the
+  // call's status.
+  KernelStatus CallOnce(SlotAddr ep, std::vector<uint64_t> words,
+                        IpcMessage* reply) {
+    KernelStatus st = KernelStatus::kInvalidArgument;
+    sim.Spawn([](Kernel& k, SlotAddr e, std::vector<uint64_t> w,
+                 IpcMessage* out, KernelStatus& st) -> Task<void> {
+      IpcMessage msg;
+      msg.words = std::move(w);
+      st = co_await k.Call(e, std::move(msg), out);
+    }(kernel, ep, std::move(words), reply, st));
+    sim.Run();
+    return st;
+  }
+
+  // A server that answers one call on `ep` with the first word doubled.
+  void ServeOnce(SlotAddr ep) {
+    sim.Spawn([](Kernel& k, SlotAddr e) -> Task<void> {
+      Received got;
+      EXPECT_EQ(co_await k.Recv(e, &got), KernelStatus::kOk);
+      IpcMessage reply;
+      reply.words = {got.message.words.at(0) * 2};
+      EXPECT_EQ(k.Reply(got.reply, std::move(reply)), KernelStatus::kOk);
+    }(kernel, ep));
+  }
+
   Simulator sim;
   Kernel kernel;
   ObjectId root = kNullObject;
@@ -33,322 +59,183 @@ struct Fixture {
 TEST(KernelTest, BootstrapInvariantsHold) {
   Fixture f;
   f.kernel.CheckInvariants();
-  Capability cap;
-  ASSERT_EQ(f.kernel.Lookup(f.Slot(kUntypedSlot), &cap), KernelStatus::kOk);
-  EXPECT_EQ(cap.type, ObjectType::kUntyped);
+  EXPECT_EQ(f.kernel.BootstrapUntyped(f.root, kUntypedSlot, 4096),
+            KernelStatus::kSlotOccupied);
+  EXPECT_EQ(f.kernel.BootstrapUntyped(f.root, 1, 0),
+            KernelStatus::kInvalidArgument);
+  EXPECT_EQ(f.kernel.BootstrapUntyped(f.root, kRootSlots, 4096),
+            KernelStatus::kInvalidSlot);
 }
 
-TEST(KernelTest, RetypeCreatesEndpoints) {
+TEST(KernelTest, RetypeCreatesServableEndpoints) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 4),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 4),
             KernelStatus::kOk);
-  for (CPtr i = 10; i < 14; ++i) {
-    Capability cap;
-    ASSERT_EQ(f.kernel.Lookup(f.Slot(i), &cap), KernelStatus::kOk);
-    EXPECT_EQ(cap.type, ObjectType::kEndpoint);
-    EXPECT_TRUE(cap.rights.read && cap.rights.write);
-  }
   f.kernel.CheckInvariants();
+  for (CPtr i = 10; i < 14; ++i) {
+    f.ServeOnce(f.Slot(i));
+    IpcMessage reply;
+    ASSERT_EQ(f.CallOnce(f.Slot(i), {i}, &reply), KernelStatus::kOk);
+    EXPECT_EQ(reply.words, (std::vector<uint64_t>{2 * i}));
+  }
 }
 
 TEST(KernelTest, RetypeIntoOccupiedSlotFails) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kSlotOccupied);
+  // A range that overlaps the occupied slot fails as a whole.
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 8, 3),
+            KernelStatus::kSlotOccupied);
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 8, 1),
+            KernelStatus::kOk);
+  f.kernel.CheckInvariants();
+}
+
+TEST(KernelTest, RetypeErrorCodes) {
+  Fixture f;
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 0),
+            KernelStatus::kInvalidArgument);
+  EXPECT_EQ(f.kernel.Retype(f.Slot(5), f.root, 10, 1),
+            KernelStatus::kEmptySlot);
+  EXPECT_EQ(f.kernel.Retype(SlotAddr{f.root, 9999}, f.root, 10, 1),
+            KernelStatus::kInvalidSlot);
+  EXPECT_EQ(f.kernel.Retype(SlotAddr{kNullObject, 0}, f.root, 10, 1),
+            KernelStatus::kInvalidSlot);
+  // Destination past the end of the CNode.
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, kRootSlots - 1, 2),
+            KernelStatus::kInvalidSlot);
+  // A CNode id that names an untyped is not a CNode.
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root + 1, 0, 1),
+            KernelStatus::kInvalidSlot);
+  // Retyping from an endpoint capability.
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
+            KernelStatus::kOk);
+  EXPECT_EQ(f.kernel.Retype(f.Slot(10), f.root, 11, 1),
+            KernelStatus::kTypeMismatch);
   f.kernel.CheckInvariants();
 }
 
 TEST(KernelTest, RetypeExhaustsUntyped) {
   Fixture f;
-  // Region is 1 MiB; TCBs are 1 KiB each; slot space limits us anyway, so
-  // use frames of 128 KiB: 8 fit, the 9th does not.
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
-                            128 * 1024, f.root, 20, 8),
-            KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
-                            128 * 1024, f.root, 40, 1),
+  // A 64-byte region holds four 16-byte endpoints.
+  ASSERT_EQ(f.kernel.BootstrapUntyped(f.root, 1, 64), KernelStatus::kOk);
+  EXPECT_EQ(f.kernel.Retype(f.Slot(1), f.root, 20, 5),
             KernelStatus::kOutOfMemory);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, MintShrinksRightsOnly) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  // Shrink to send-only: fine.
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 7),
-            KernelStatus::kOk);
-  Capability cap;
-  ASSERT_EQ(f.kernel.Lookup(f.Slot(11), &cap), KernelStatus::kOk);
-  EXPECT_EQ(cap.badge, 7u);
-  EXPECT_FALSE(cap.rights.read);
-  // Attempt to widen from the minted (write-only) cap: rejected.
-  EXPECT_EQ(f.kernel.Mint(f.Slot(11), f.Slot(12), CapRights::All(), 0),
-            KernelStatus::kNoRights);
-  // Re-badging a badged capability: rejected.
-  EXPECT_EQ(f.kernel.Mint(f.Slot(11), f.Slot(12), CapRights::WriteOnly(), 9),
-            KernelStatus::kInvalidArgument);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, BadgeOnFrameRejected) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::All(), 3),
-            KernelStatus::kInvalidArgument);
-}
-
-TEST(KernelTest, DeleteLastCapDestroysObject) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  Capability cap;
-  ASSERT_EQ(f.kernel.Lookup(f.Slot(10), &cap), KernelStatus::kOk);
-  const ObjectId ep = cap.object;
-  ASSERT_EQ(f.kernel.Copy(f.Slot(10), f.Slot(11)), KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Delete(f.Slot(10)), KernelStatus::kOk);
-  EXPECT_TRUE(f.kernel.ObjectAlive(ep));  // copy still references it
-  ASSERT_EQ(f.kernel.Delete(f.Slot(11)), KernelStatus::kOk);
-  EXPECT_FALSE(f.kernel.ObjectAlive(ep));
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, RevokeRemovesDerivedTree) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Copy(f.Slot(11), f.Slot(12)), KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Revoke(f.Slot(10)), KernelStatus::kOk);
-  // Derived caps gone, original remains.
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(11), nullptr), KernelStatus::kEmptySlot);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(12), nullptr), KernelStatus::kEmptySlot);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(10), nullptr), KernelStatus::kOk);
-  f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, RevokeUntypedReclaimsRegion) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame,
-                            512 * 1024, f.root, 10, 2),
-            KernelStatus::kOk);
-  // Region full now.
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 30, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(1), f.root, 20, 3), KernelStatus::kOk);
+  ASSERT_EQ(f.kernel.Retype(f.Slot(1), f.root, 23, 1), KernelStatus::kOk);
+  EXPECT_EQ(f.kernel.Retype(f.Slot(1), f.root, 24, 1),
             KernelStatus::kOutOfMemory);
-  ASSERT_EQ(f.kernel.Revoke(f.Slot(kUntypedSlot)), KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Lookup(f.Slot(10), nullptr), KernelStatus::kEmptySlot);
-  // Watermark reset: retype works again.
-  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 30, 1),
+  // The other region is untouched.
+  EXPECT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 24, 1),
             KernelStatus::kOk);
   f.kernel.CheckInvariants();
-}
-
-TEST(KernelTest, SendRecvRendezvous) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  Received got;
-  KernelStatus recv_st = KernelStatus::kInvalidArgument;
-  KernelStatus send_st = KernelStatus::kInvalidArgument;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, Received& out,
-                 KernelStatus& st) -> Task<void> {
-    st = co_await k.Recv(ep, &out);
-  }(f.kernel, f.Slot(10), got, recv_st));
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& st) -> Task<void> {
-    IpcMessage msg;
-    msg.label = 42;
-    msg.words = {1, 2, 3};
-    st = co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(10), send_st));
-  f.sim.Run();
-  EXPECT_EQ(recv_st, KernelStatus::kOk);
-  EXPECT_EQ(send_st, KernelStatus::kOk);
-  EXPECT_EQ(got.message.label, 42u);
-  EXPECT_EQ(got.message.words, (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_FALSE(got.reply.valid());
-  EXPECT_EQ(f.kernel.ipc_count(), 1u);
-}
-
-TEST(KernelTest, SendBlocksUntilReceiverArrives) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  rlsim::TimePoint send_done;
-  f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep,
-                 rlsim::TimePoint& done) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
-    done = s.now();
-  }(f.sim, f.kernel, f.Slot(10), send_done));
-  f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep) -> Task<void> {
-    co_await s.Sleep(Duration::Millis(5));
-    Received got;
-    co_await k.Recv(ep, &got);
-  }(f.sim, f.kernel, f.Slot(10)));
-  f.sim.Run();
-  EXPECT_GE(send_done, rlsim::TimePoint::Origin() + Duration::Millis(5));
-}
-
-TEST(KernelTest, BadgedSendIdentifiesClient) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 99),
-            KernelStatus::kOk);
-  Received got;
-  KernelStatus recv_st = KernelStatus::kInvalidArgument;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, Received& out,
-                 KernelStatus& st) -> Task<void> {
-    st = co_await k.Recv(ep, &out);
-  }(f.kernel, f.Slot(10), got, recv_st));
-  f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(11)));
-  f.sim.Run();
-  EXPECT_EQ(recv_st, KernelStatus::kOk);
-  EXPECT_EQ(got.message.sender_badge, 99u);
 }
 
 TEST(KernelTest, CallReplyRoundTrip) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kOk);
-  // Server: receive, double the word, reply.
-  f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
-    Received got;
-    co_await k.Recv(ep, &got);
+  Received got;
+  f.sim.Spawn([](Kernel& k, SlotAddr ep, Received& out) -> Task<void> {
+    EXPECT_EQ(co_await k.Recv(ep, &out), KernelStatus::kOk);
     IpcMessage reply;
-    reply.words = {got.message.words[0] * 2};
-    k.Reply(got.reply, std::move(reply));
-  }(f.kernel, f.Slot(10)));
+    reply.words = {out.message.words[0] * 2};
+    reply.payload = {7, 8};
+    EXPECT_EQ(k.Reply(out.reply, std::move(reply)), KernelStatus::kOk);
+  }(f.kernel, f.Slot(10), got));
   IpcMessage reply;
   KernelStatus call_st = KernelStatus::kInvalidArgument;
   f.sim.Spawn([](Kernel& k, SlotAddr ep, IpcMessage& out,
                  KernelStatus& st) -> Task<void> {
     IpcMessage msg;
+    msg.label = 42;
     msg.words = {21};
+    msg.payload = {1, 2, 3};
     st = co_await k.Call(ep, std::move(msg), &out);
   }(f.kernel, f.Slot(10), reply, call_st));
   f.sim.Run();
   EXPECT_EQ(call_st, KernelStatus::kOk);
-  ASSERT_EQ(reply.words.size(), 1u);
-  EXPECT_EQ(reply.words[0], 42u);
+  EXPECT_EQ(got.message.label, 42u);
+  EXPECT_EQ(got.message.payload, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(reply.words, (std::vector<uint64_t>{42}));
+  EXPECT_EQ(reply.payload, (std::vector<uint8_t>{7, 8}));
 }
 
-TEST(KernelTest, SendWithoutWriteRightFails) {
+TEST(KernelTest, CallBlocksUntilReceiverArrives) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::ReadOnly(), 0),
-            KernelStatus::kOk);
-  KernelStatus st = KernelStatus::kOk;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& out) -> Task<void> {
+  rlsim::TimePoint call_done;
+  f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep,
+                 rlsim::TimePoint& done) -> Task<void> {
     IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    out = co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(11), st));
+    IpcMessage reply;
+    co_await k.Call(ep, std::move(msg), &reply);
+    done = s.now();
+  }(f.sim, f.kernel, f.Slot(10), call_done));
+  f.sim.Spawn([](Simulator& s, Kernel& k, SlotAddr ep) -> Task<void> {
+    co_await s.Sleep(Duration::Millis(5));
+    Received got;
+    co_await k.Recv(ep, &got);
+    k.Reply(got.reply, IpcMessage{});
+  }(f.sim, f.kernel, f.Slot(10)));
   f.sim.Run();
-  EXPECT_EQ(st, KernelStatus::kNoRights);
+  EXPECT_GE(call_done, rlsim::TimePoint::Origin() + Duration::Millis(5));
 }
 
-TEST(KernelTest, SendToFrameCapFails) {
+TEST(KernelTest, ReplyTokenIsSingleUse) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kFrame, 4096,
-                            f.root, 10, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kOk);
-  KernelStatus st = KernelStatus::kOk;
-  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& out) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    out = co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(10), st));
-  f.sim.Run();
-  EXPECT_EQ(st, KernelStatus::kTypeMismatch);
+  KernelStatus second = KernelStatus::kOk;
+  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& st) -> Task<void> {
+    Received got;
+    co_await k.Recv(ep, &got);
+    EXPECT_TRUE(got.reply.valid());
+    EXPECT_EQ(k.Reply(got.reply, IpcMessage{}), KernelStatus::kOk);
+    EXPECT_FALSE(got.reply.valid());
+    st = k.Reply(got.reply, IpcMessage{});
+  }(f.kernel, f.Slot(10), second));
+  IpcMessage reply;
+  EXPECT_EQ(f.CallOnce(f.Slot(10), {1}, &reply), KernelStatus::kOk);
+  EXPECT_EQ(second, KernelStatus::kInvalidArgument);
+  ReplyToken never_issued;
+  EXPECT_EQ(f.kernel.Reply(never_issued, IpcMessage{}),
+            KernelStatus::kInvalidArgument);
 }
 
-TEST(KernelTest, NotificationSignalWaitPoll) {
+TEST(KernelTest, IpcOnNonEndpointCapFails) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kNotification,
-                            0, f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 0b100),
-            KernelStatus::kOk);
-  uint64_t bits = 0;
-  KernelStatus wait_st = KernelStatus::kInvalidArgument;
-  f.sim.Spawn([](Kernel& k, SlotAddr n, uint64_t& out,
-                 KernelStatus& st) -> Task<void> {
-    st = co_await k.Wait(n, &out);
-  }(f.kernel, f.Slot(10), bits, wait_st));
-  f.sim.Schedule(Duration::Millis(1), [&] {
-    EXPECT_EQ(f.kernel.Signal(f.Slot(11)), KernelStatus::kOk);
-  });
+  IpcMessage reply;
+  EXPECT_EQ(f.CallOnce(f.Slot(kUntypedSlot), {1}, &reply),
+            KernelStatus::kTypeMismatch);
+  EXPECT_EQ(f.CallOnce(f.Slot(7), {1}, &reply), KernelStatus::kEmptySlot);
+  EXPECT_EQ(f.CallOnce(SlotAddr{f.root, 9999}, {1}, &reply),
+            KernelStatus::kInvalidSlot);
+  KernelStatus recv_st = KernelStatus::kOk;
+  f.sim.Spawn([](Kernel& k, SlotAddr ep, KernelStatus& st) -> Task<void> {
+    Received got;
+    st = co_await k.Recv(ep, &got);
+  }(f.kernel, f.Slot(kUntypedSlot), recv_st));
   f.sim.Run();
-  EXPECT_EQ(wait_st, KernelStatus::kOk);
-  EXPECT_EQ(bits, 0b100u);
-  // Word was cleared by Wait.
-  uint64_t polled = 123;
-  EXPECT_EQ(f.kernel.Poll(f.Slot(10), &polled), KernelStatus::kOk);
-  EXPECT_EQ(polled, 0u);
-}
-
-TEST(KernelTest, NotificationBadgesAccumulate) {
-  Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kNotification,
-                            0, f.root, 10, 1),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(11), CapRights::WriteOnly(), 0b01),
-            KernelStatus::kOk);
-  ASSERT_EQ(f.kernel.Mint(f.Slot(10), f.Slot(12), CapRights::WriteOnly(), 0b10),
-            KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Signal(f.Slot(11)), KernelStatus::kOk);
-  EXPECT_EQ(f.kernel.Signal(f.Slot(12)), KernelStatus::kOk);
-  uint64_t bits = 0;
-  EXPECT_EQ(f.kernel.Poll(f.Slot(10), &bits), KernelStatus::kOk);
-  EXPECT_EQ(bits, 0b11u);
+  EXPECT_EQ(recv_st, KernelStatus::kTypeMismatch);
+  // Failed invocations cost no simulated time.
+  EXPECT_EQ(f.sim.now(), rlsim::TimePoint::Origin());
 }
 
 TEST(KernelTest, IpcCostsSimulatedTime) {
   Fixture f;
-  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), ObjectType::kEndpoint, 0,
-                            f.root, 10, 1),
+  ASSERT_EQ(f.kernel.Retype(f.Slot(kUntypedSlot), f.root, 10, 1),
             KernelStatus::kOk);
-  f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
-    Received got;
-    co_await k.Recv(ep, &got);
-  }(f.kernel, f.Slot(10)));
-  f.sim.Spawn([](Kernel& k, SlotAddr ep) -> Task<void> {
-    IpcMessage msg;  // named: GCC 12 mishandles non-trivial prvalue args to coroutines
-    co_await k.Send(ep, std::move(msg));
-  }(f.kernel, f.Slot(10)));
-  f.sim.Run();
-  EXPECT_GT(f.sim.now(), rlsim::TimePoint::Origin());
-  EXPECT_LT(f.sim.now() - rlsim::TimePoint::Origin(), Duration::Micros(10));
-}
-
-TEST(KernelTest, InvalidSlotOperations) {
-  Fixture f;
-  EXPECT_EQ(f.kernel.Delete(SlotAddr{f.root, 9999}),
-            KernelStatus::kInvalidSlot);
-  EXPECT_EQ(f.kernel.Delete(f.Slot(50)), KernelStatus::kEmptySlot);
-  EXPECT_EQ(f.kernel.Lookup(SlotAddr{kNullObject, 0}, nullptr),
-            KernelStatus::kInvalidSlot);
+  f.ServeOnce(f.Slot(10));
+  IpcMessage reply;
+  ASSERT_EQ(f.CallOnce(f.Slot(10), {1}, &reply), KernelStatus::kOk);
+  // Both sides enter the kernel (300 ns, concurrently) and the message
+  // transfers (700 ns).
+  EXPECT_EQ(f.sim.now() - rlsim::TimePoint::Origin(), Duration::Nanos(1000));
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ namespace {
 
 using rlkern::Kernel;
 using rlkern::KernelStatus;
-using rlkern::ObjectType;
 using rlkern::SlotAddr;
 using rlsim::Duration;
 using rlsim::Simulator;
@@ -97,9 +96,7 @@ struct StackFixture {
              rlstor::MakeDefaultHdd()) {
     root = kernel.BootstrapCNode(64);
     EXPECT_EQ(kernel.BootstrapUntyped(root, 0, 1 << 20), KernelStatus::kOk);
-    EXPECT_EQ(kernel.Retype(SlotAddr{root, 0}, ObjectType::kEndpoint, 0, root,
-                            1, 1),
-              KernelStatus::kOk);
+    EXPECT_EQ(kernel.Retype(SlotAddr{root, 0}, root, 1, 1), KernelStatus::kOk);
     backend = std::make_unique<BlockBackend>(sim, kernel, SlotAddr{root, 1},
                                              disk);
     backend->Start();
