@@ -87,7 +87,6 @@ rlharness::TestbedOptions DefaultTestbed(rlharness::DeploymentMode mode,
   opt.db.profile = profile;
   opt.db.pool_pages = 2048;
   opt.db.journal_pages = 1200;
-  opt.db.profile.checkpoint_dirty_pages = 512;
   // A database server under OLTP load draws well below the PSU rating;
   // 120 W against a 400 W supply gives a ~53 ms hold-up window.
   opt.psu.system_load_watts = 120;

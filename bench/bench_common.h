@@ -78,7 +78,8 @@ RunResult RunTpcc(const TpccRunConfig& config);
 std::vector<RunResult> RunTpccMany(const std::vector<TpccRunConfig>& configs,
                                    int jobs);
 
-// Standard testbed options used across experiments.
+// Standard testbed options used across experiments. The engine keeps the
+// profile's own checkpoint threshold.
 rlharness::TestbedOptions DefaultTestbed(rlharness::DeploymentMode mode,
                                          rlharness::DiskSetup disks,
                                          const rldb::EngineProfile& profile);

@@ -334,8 +334,7 @@ CampaignTiming TimeCampaign(int jobs, uint64_t episodes) {
   opts.episodes = episodes;
   opts.jobs = jobs;
   const WallClock::time_point t0 = WallClock::now();
-  const rlchaos::ExplorerReport report =
-      rlchaos::ChaosExplorer(opts).RunCampaign();
+  const rlchaos::ExplorerReport report = rlchaos::RunCampaign(opts);
   CampaignTiming out;
   out.seconds = SecondsSince(t0);
   out.corpus_hash = report.corpus_hash;

@@ -9,8 +9,6 @@
 //                                       the atomicity oracle after wind-down
 //   rapilog_chaos --cross-ratio X       pin the fleet cross-shard probability
 //                                       (default: sampled per seed)
-//   rapilog_chaos --budget N            nightly sweep: N episodes in batches
-//   rapilog_chaos --minutes M           alias: budget = M * 120 episodes
 //   rapilog_chaos --audit               run every episode twice under the
 //                                       DivergenceAuditor; any divergence is
 //                                       a failure with a first-event report
@@ -27,9 +25,9 @@
 //                                       divergence reports there
 //   rapilog_chaos --no-shrink           report failures without minimising
 //
-// Every mode is a pure function of its arguments: the --minutes wall-clock
-// deadline of earlier revisions is gone (it made "how many seeds ran" depend
-// on the machine), replaced by an episode budget computed once at startup.
+// Every mode is a pure function of its arguments: a campaign is a fixed
+// seed range, never a wall-clock deadline, so the same invocation explores
+// the same seeds and prints the same corpus hash on any machine.
 //
 // Exit status: 0 if every episode's oracles held (and, under --audit, every
 // double-run agreed), 1 otherwise. Failing schedules are shrunk to minimal
@@ -51,22 +49,11 @@
 
 namespace {
 
-using rlchaos::ChaosExplorer;
 using rlchaos::EpisodeConfig;
 using rlchaos::EpisodeOutcome;
 using rlchaos::ExplorerOptions;
 using rlchaos::ExplorerReport;
 using rlchaos::ShrunkFailure;
-
-// --minutes M is kept as a deterministic alias: at the historical rate of
-// roughly two episodes per second, one minute of the old wall-clock sweep
-// covered ~120 episodes. The conversion happens once at startup; nothing in
-// the run consults a real clock, so the same invocation always explores the
-// same seeds.
-constexpr uint64_t kEpisodesPerMinute = 120;
-
-// Seeds per ExplorerReport batch in budget mode (progress granularity only).
-constexpr uint64_t kBatchEpisodes = 10;
 
 void PrintEpisode(const EpisodeConfig& cfg, const EpisodeOutcome& out) {
   std::printf("episode seed=%llu mode=%s disks=%s replicas=%zu events=%zu",
@@ -236,7 +223,6 @@ int RunReplay(const std::string& path, const rlchaos::RunOptions& run,
 int main(int argc, char** argv) {
   uint64_t seed = 1;
   uint64_t episodes = 1;
-  uint64_t budget = 0;  // 0 = not in budget (sweep) mode
   int jobs = 1;
   bool shrink = true;
   bool audit = false;
@@ -260,11 +246,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--episodes") {
       episodes = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--budget") {
-      budget = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--minutes") {
-      // Deterministic alias, converted exactly once here.
-      budget = std::strtoull(next(), nullptr, 10) * kEpisodesPerMinute;
     } else if (arg == "--jobs") {
       jobs = static_cast<int>(std::strtol(next(), nullptr, 10));
       if (jobs <= 0) {
@@ -321,39 +302,7 @@ int main(int argc, char** argv) {
     opts.gen.run_us_max = 900'000;
   }
 
-  if (budget > 0) {
-    // Nightly mode: a fixed episode budget consumed in batches. Same seed
-    // and budget, same seeds explored, same output — the sweep is as
-    // deterministic as a single episode.
-    ExplorerReport total;
-    uint64_t next_seed = seed;
-    uint64_t remaining = budget;
-    while (remaining > 0) {
-      ExplorerOptions batch = opts;
-      batch.base_seed = next_seed;
-      batch.episodes = remaining < kBatchEpisodes ? remaining : kBatchEpisodes;
-      const ExplorerReport r = ChaosExplorer(batch).RunCampaign();
-      total.episodes_run += r.episodes_run;
-      total.violations += r.violations;
-      for (const ShrunkFailure& f : r.failures) {
-        total.failures.push_back(f);
-      }
-      total.corpus_hash ^= r.corpus_hash;
-      next_seed += batch.episodes;
-      remaining -= batch.episodes;
-    }
-    uint64_t diverged = 0;
-    if (audit) {
-      diverged = AuditSeeds(seed, budget, opts.gen, out_dir, jobs);
-      std::printf("audit: %llu/%llu episodes diverged\n",
-                  static_cast<unsigned long long>(diverged),
-                  static_cast<unsigned long long>(budget));
-    }
-    const int status = ReportAndPersist(total, out_dir);
-    return diverged > 0 ? 1 : status;
-  }
-
-  const ExplorerReport report = ChaosExplorer(opts).RunCampaign();
+  const ExplorerReport report = rlchaos::RunCampaign(opts);
   if (report.failures.empty() && episodes == 1) {
     // Single-episode runs print their outcome even when clean, so CI can
     // assert determinism by comparing two runs' hashes.

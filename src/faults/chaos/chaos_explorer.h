@@ -1,6 +1,6 @@
-// ChaosExplorer: randomized multi-fault schedules executed end-to-end on the
-// Testbed, checked against the durability/consistency oracles, with
-// delta-debugging shrinking of failing seeds down to minimal replayable
+// Chaos explorer: randomized multi-fault schedules executed end-to-end on the
+// Testbed or the fleet, checked against the durability/consistency oracles,
+// with delta-debugging shrinking of failing seeds down to minimal replayable
 // schedules (FoundationDB-style simulation testing for this repo).
 //
 // Each episode is a pure function of its EpisodeConfig: the config seeds the
@@ -76,18 +76,13 @@ struct EpisodeOutcome {
 };
 
 // Runs one episode to completion on a fresh simulator. Never throws; oracle
-// failures and infrastructure breakage land in `violations`. Dispatches to
-// the fleet runner when cfg.fleet_shards > 0.
+// failures and infrastructure breakage land in `violations`. The topology
+// follows the config: a single Testbed under key-value load with the
+// durability, replication and recovery-equivalence oracles, or (when
+// cfg.fleet_shards > 0) an E13 fleet of that many shards behind a 2PC
+// coordinator with the fleet atomicity oracle after wind-down.
 EpisodeOutcome RunEpisode(const EpisodeConfig& cfg,
                           const RunOptions& run = {});
-
-// The fleet (E13) episode runner: cfg.fleet_shards shard testbeds behind a
-// 2PC coordinator, cross-shard workload at cfg.cross_ratio, fleet fault
-// kinds applied with state guards, and — after wind-down heals and recovers
-// everything — the fleet atomicity oracle plus per-shard structural checks.
-// RunEpisode forwards here; callable directly by tests.
-EpisodeOutcome RunFleetEpisode(const EpisodeConfig& cfg,
-                               const RunOptions& run = {});
 
 // Determinism cross-check: executes the episode twice from its seed with a
 // trace recorder installed and returns the auditor's verdict — identical
@@ -140,21 +135,10 @@ struct ExplorerReport {
   bool ok() const { return violations == 0; }
 };
 
-class ChaosExplorer {
- public:
-  explicit ChaosExplorer(ExplorerOptions options) : options_(options) {}
-
-  // Episodes base_seed .. base_seed+episodes-1, fanned across options_.jobs
-  // worker threads, outcomes reduced in episode-index order, each failure
-  // shrunk deterministically (shrinking itself fans across failures; each
-  // shrink is internally sequential and a pure function of its config).
-  ExplorerReport RunCampaign();
-
-  // Historical name; same campaign.
-  ExplorerReport Run() { return RunCampaign(); }
-
- private:
-  ExplorerOptions options_;
-};
+// Episodes base_seed .. base_seed+episodes-1, fanned across options.jobs
+// worker threads, outcomes reduced in episode-index order, each failure
+// shrunk deterministically (shrinking itself fans across failures; each
+// shrink is internally sequential and a pure function of its config).
+ExplorerReport RunCampaign(const ExplorerOptions& options);
 
 }  // namespace rlchaos

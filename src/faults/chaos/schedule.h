@@ -34,8 +34,9 @@ enum class FaultKind {
   kReviveReplica,     // arg = replica index; disk powers on, link up
   kLinkDegrade,       // arg = replica index; link becomes lossy
   kLinkRestore,       // arg = replica index; link loss removed
-  // Fleet episodes only (EpisodeConfig::fleet_shards > 0); no-ops in the
-  // classic single-testbed runner so shrinking stays closed over the kinds.
+  // Fleet episodes only (EpisodeConfig::fleet_shards > 0); no-ops on a
+  // single testbed (as the kinds above are on a fleet), so shrinking stays
+  // closed over the kinds.
   kKillShard,           // arg = shard index; power cut on that shard
   kRecoverShard,        // arg = shard index; power + crash recovery
   kPartitionShard,      // arg = shard index; coord<->shard link down

@@ -1,7 +1,7 @@
 // Chaos explorer: schedule format round-trip, episode determinism, a small
-// bounded corpus that must hold every oracle, and the planted-violation
-// pipeline (power-guard ablation found, shrunk to a minimal schedule, and
-// replayed bit-for-bit).
+// bounded corpus that must hold every oracle, the pinned seed-42 corpus
+// hashes of both topologies, and the planted-violation pipeline (power-guard
+// ablation found, shrunk to a minimal schedule, and replayed bit-for-bit).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -72,7 +72,7 @@ TEST(ChaosExplorerTest, BoundedCorpusHoldsEveryOracle) {
   ExplorerOptions opts;
   opts.base_seed = 1;
   opts.episodes = 6;
-  const ExplorerReport report = ChaosExplorer(opts).Run();
+  const ExplorerReport report = RunCampaign(opts);
   EXPECT_EQ(report.episodes_run, 6u);
   EXPECT_TRUE(report.ok()) << report.violations << " violating episodes; "
                            << "first failing seed "
@@ -80,6 +80,29 @@ TEST(ChaosExplorerTest, BoundedCorpusHoldsEveryOracle) {
                                    ? 0
                                    : report.failures[0].original.seed);
   EXPECT_NE(report.corpus_hash, 0u);
+}
+
+TEST(ChaosExplorerTest, SeedFortyTwoCorpusHashesArePinned) {
+  // Every episode's outcome hash covers its commits, recoveries, oracle
+  // counts and end time, so a runner change that moves anything simulated
+  // (one trace event, one task spawned out of order) moves these corpus
+  // hashes. Both corpora are clean.
+  ExplorerOptions opts;
+  opts.base_seed = 42;
+  opts.episodes = 64;
+  opts.shrink = false;
+  // jobs stays 1, on the calling thread: under ASan the fleet oracle's
+  // per-key coroutine chain outgrows a worker thread's 64 MiB stack, and
+  // the sanitizer CI job gives only the main thread an unlimited one.
+  const ExplorerReport classic = RunCampaign(opts);
+  EXPECT_EQ(classic.violations, 0u);
+  EXPECT_EQ(classic.corpus_hash, 0x586b9b87ebc3df5full);
+
+  opts.episodes = 24;
+  opts.gen.fleet_shards = 3;
+  const ExplorerReport fleet = RunCampaign(opts);
+  EXPECT_EQ(fleet.violations, 0u);
+  EXPECT_EQ(fleet.corpus_hash, 0xa0d6b1c1972bc4d4ull);
 }
 
 TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
@@ -95,7 +118,7 @@ TEST(ChaosExplorerTest, AblationFoundShrunkAndReplayable) {
   opts.gen.allow_replication = false;
   opts.gen.run_us_min = 600'000;
   opts.gen.run_us_max = 900'000;
-  const ExplorerReport report = ChaosExplorer(opts).Run();
+  const ExplorerReport report = RunCampaign(opts);
   ASSERT_EQ(report.failures.size(), 1u)
       << "the planted guard-off violation was not found";
   const ShrunkFailure& f = report.failures[0];

@@ -1,12 +1,16 @@
 // Parameterised engine-profile sweep: the full commit/crash/recover cycle
 // must hold for every profile (page size, log block size, group commit) and
-// both data-device types.
+// both data-device types. Every profile must also open at its own
+// checkpoint threshold.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/db/database.h"
+#include "src/sim/check.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/storage/block_device.h"
@@ -116,6 +120,50 @@ TEST_P(ProfileSweepTest, CommitCrashRecoverAcrossProfiles) {
     co_await db->Close();
   }(sim, cpu, *data, *log, options, seed));
   sim.Run();
+}
+
+// Every profile opens at its own checkpoint threshold, with DbOptions'
+// default sizing and with the benches' DefaultTestbed sizing (pool 2048,
+// journal 1200): the threshold must sit below the dirty throttle that the
+// profile's page size sets through the journal header.
+TEST(ProfileThresholdTest, EveryProfileOpensAtItsOwnCheckpointThreshold) {
+  const DbOptions defaults;
+  const std::pair<uint32_t, uint32_t> sizings[] = {
+      {defaults.pool_pages, defaults.journal_pages}, {2048, 1200}};
+  for (const char* name : {"pg-like", "innodb-like", "commercial-like"}) {
+    for (const auto& [pool, journal] : sizings) {
+      Simulator sim(1);
+      NativeCpu cpu(sim);
+      const auto make_dev = [&](const char* dev_name) {
+        return std::make_unique<SimBlockDevice>(
+            sim,
+            SimBlockDevice::Options{.geometry = {.sector_count = 1 << 20},
+                                    .name = dev_name},
+            rlstor::MakeDefaultSsd());
+      };
+      auto data = make_dev("data");
+      auto log = make_dev("log");
+      DbOptions options;
+      options.profile = ProfileByName(name);
+      options.pool_pages = pool;
+      options.journal_pages = journal;
+      std::string error = "never opened";
+      sim.Spawn([](Simulator& s, NativeCpu& cpu2, SimBlockDevice& d,
+                   SimBlockDevice& l, DbOptions opts,
+                   std::string* err) -> Task<void> {
+        try {
+          auto db = co_await Database::Open(s, cpu2, d, l, opts);
+          err->clear();
+          co_await db->Close();
+        } catch (const rlsim::CheckFailure& e) {
+          *err = e.what();
+        }
+      }(sim, cpu, *data, *log, options, &error));
+      sim.Run();
+      EXPECT_EQ(error, "") << name << " with pool " << pool << ", journal "
+                           << journal;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,4 +1,4 @@
-// Distributed-tracing contract tests over the fleet (E13) episode runner:
+// Distributed-tracing contract tests over fleet (E13) chaos episodes:
 //
 //  1. Trace neutrality: attaching a SpanTracer sink to an episode must not
 //     change its outcome hash — across a 200-seed corpus. This is the
@@ -39,12 +39,12 @@ TEST(FleetTraceTest, TwoHundredSeedsAreHashNeutralUnderTracing) {
   uint64_t total_records = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const EpisodeConfig cfg = SmallFleetConfig(seed);
-    const EpisodeOutcome plain = RunFleetEpisode(cfg);
+    const EpisodeOutcome plain = RunEpisode(cfg);
 
     rlobs::SpanTracer tracer;
     RunOptions run;
     run.sink = &tracer;
-    const EpisodeOutcome traced = RunFleetEpisode(cfg, run);
+    const EpisodeOutcome traced = RunEpisode(cfg, run);
 
     ASSERT_EQ(plain.Hash(), traced.Hash()) << "seed " << seed;
     ASSERT_EQ(plain.committed, traced.committed) << "seed " << seed;
@@ -60,7 +60,7 @@ TEST(FleetTraceTest, AssembledTraceIsWellFormedAndStitchesNodes) {
   rlobs::SpanTracer tracer;
   RunOptions run;
   run.sink = &tracer;
-  const EpisodeOutcome out = RunFleetEpisode(cfg, run);
+  const EpisodeOutcome out = RunEpisode(cfg, run);
   ASSERT_GT(tracer.records().size(), 0u);
   (void)out;
 

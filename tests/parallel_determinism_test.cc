@@ -14,7 +14,6 @@
 
 namespace {
 
-using rlchaos::ChaosExplorer;
 using rlchaos::ExplorerOptions;
 using rlchaos::ExplorerReport;
 
@@ -23,7 +22,7 @@ ExplorerReport RunCampaignWithJobs(int jobs) {
   opts.base_seed = 1;
   opts.episodes = 8;
   opts.jobs = jobs;
-  return ChaosExplorer(opts).RunCampaign();
+  return rlchaos::RunCampaign(opts);
 }
 
 TEST(ParallelCampaignTest, CleanCampaignIdenticalAcrossJobCounts) {
@@ -62,7 +61,7 @@ TEST(ParallelCampaignTest, FailingCampaignShrinksIdenticallyAcrossJobs) {
     opts.gen.allow_replication = false;
     opts.gen.run_us_min = 600'000;
     opts.gen.run_us_max = 900'000;
-    return ChaosExplorer(opts).RunCampaign();
+    return rlchaos::RunCampaign(opts);
   };
   const ExplorerReport seq = run(1);
   ASSERT_EQ(seq.failures.size(), 1u);
